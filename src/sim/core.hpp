@@ -223,9 +223,10 @@ class HwContext {
   /// entry's validated handles (tail of the inlined load()/store() paths).
   void fast_hit(FastEntry& fe, Dep dep, bool is_store) noexcept;
 
-  /// Conservative teardown: any coherence action, MT-mode flip, rebind or
-  /// reset empties the registers; the next access re-registers via the
-  /// reference path.
+  /// Empties the registers on rebind, MT-mode flip and reset; the next
+  /// access re-registers via the reference path.  Coherence actions do not
+  /// clear them: a remote invalidation or downgrade bumps the L1 set
+  /// generation, which fails tier 1, and tier 2 revalidates the handles.
   void clear_fast_entries() noexcept {
     for (FastEntry& e : fast_) e = FastEntry{};
     fast_block_.valid = false;

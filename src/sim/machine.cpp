@@ -9,6 +9,71 @@ namespace paxsim::sim {
 
 using perf::Event;
 
+std::size_t CoherenceDirectory::find(Addr line) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(line);
+  while (slots_[i].holders != 0 && slots_[i].line != line) i = (i + 1) & mask;
+  return i;
+}
+
+void CoherenceDirectory::set(Addr line, std::uint32_t holders) {
+  std::size_t i = find(line);
+  if (slots_[i].holders == 0) {
+    if (4 * (size_ + 1) > 3 * slots_.size()) {
+      grow();
+      i = find(line);
+    }
+    ++size_;
+    slots_[i].line = line;
+  }
+  slots_[i].holders = holders;
+}
+
+void CoherenceDirectory::clear_bits(Addr line, std::uint32_t bits) noexcept {
+  std::size_t hole = find(line);
+  Slot& s = slots_[hole];
+  if (s.holders == 0) return;
+  s.holders &= ~bits;
+  if (s.holders != 0) return;
+  // Backward-shift deletion: walk the rest of the probe run and pull back
+  // every entry whose home does not lie cyclically in (hole, j], so each
+  // line stays reachable from its home without crossing an empty slot.
+  --size_;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; slots_[j].holders != 0;
+       j = (j + 1) & mask) {
+    if (((j - home(slots_[j].line)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      slots_[j].holders = 0;
+      hole = j;
+    }
+  }
+}
+
+void CoherenceDirectory::clear() noexcept {
+  if (size_ == 0) return;
+  for (Slot& s : slots_) s.holders = 0;
+  size_ = 0;
+}
+
+std::vector<std::pair<Addr, unsigned>> CoherenceDirectory::entries() const {
+  std::vector<std::pair<Addr, unsigned>> out;
+  out.reserve(size_);
+  for (const Slot& s : slots_) {
+    if (s.holders != 0) out.emplace_back(s.line, s.holders);
+  }
+  return out;
+}
+
+void CoherenceDirectory::grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  --shift_;
+  for (const Slot& s : old) {
+    if (s.holders != 0) slots_[find(s.line)] = s;
+  }
+}
+
 Machine::Machine(const MachineParams& p)
     : params_(p), topo_(p.resolved_topology()) {
   std::string why;
@@ -140,9 +205,10 @@ LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
                                  HwContext& ctx) noexcept {
   par_gate();
   const int self_d = domain_of_core_[static_cast<std::size_t>(filler_core)];
-  std::uint32_t& holders = directory_[line_addr];
   const std::uint32_t self = 1u << self_d;
-  const std::uint32_t others = holders & ~self;
+  // Read the holders, act on the remote domains, then write the new mask:
+  // no slot of the directory is held across the remote actions.
+  const std::uint32_t others = directory_.holders(line_addr) & ~self;
   LineState st;
   if (is_store) {
     // Read-for-ownership: every remote copy dies.
@@ -165,7 +231,7 @@ LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
                      ctx.now());
       }
     }
-    holders = self;
+    directory_.set(line_addr, self);
     st = LineState::kModified;
   } else {
     for (int d = 0; d < domain_count_; ++d) {
@@ -186,23 +252,21 @@ LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
       }
     }
     st = others != 0 ? LineState::kShared : LineState::kExclusive;
-    holders |= self;
+    directory_.set(line_addr, others | self);
   }
   return st;
 }
 
 void Machine::on_l2_evict(int core_id, Addr line_addr) noexcept {
   par_gate();
-  auto it = directory_.find(line_addr);
-  if (it == directory_.end()) return;
-  it->second &= ~(1u << domain_of_core_[static_cast<std::size_t>(core_id)]);
-  if (it->second == 0) directory_.erase(it);
+  directory_.clear_bits(
+      line_addr, 1u << domain_of_core_[static_cast<std::size_t>(core_id)]);
 }
 
 void Machine::store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcept {
   par_gate();
   const int self_d = domain_of_core_[static_cast<std::size_t>(core_id)];
-  std::uint32_t& holders = directory_[line_addr];
+  const std::uint32_t holders = directory_.holders(line_addr);
   for (int d = 0; d < domain_count_; ++d) {
     if (d == self_d || (holders & (1u << d)) == 0) continue;
     std::optional<par::Session::RemoteLock> rl;
@@ -220,7 +284,7 @@ void Machine::store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcep
                    ctx.now());
     }
   }
-  holders = 1u << self_d;
+  directory_.set(line_addr, 1u << self_d);
   // Intra-domain: sibling cores sharing the writer's outer cache drop their
   // inner copies so the writer becomes the sole holder (no-op by
   // construction on private-outer topologies).
@@ -278,17 +342,13 @@ bool Machine::par_domain_conflict(int d, Addr line_addr) const noexcept {
 }
 
 unsigned Machine::holders_of(Addr line_addr) const noexcept {
-  const auto it = directory_.find(line_addr);
-  return it == directory_.end() ? 0u : it->second;
+  return directory_.holders(line_addr);
 }
 
 std::vector<std::pair<Addr, unsigned>> Machine::directory_snapshot() const {
-  std::vector<std::pair<Addr, unsigned>> out;
-  out.reserve(directory_.size());
-  // paxlint: allow(determinism) -- hash order never escapes: the snapshot is sorted into address order below
-  for (const auto& [line, holders] : directory_) out.emplace_back(line, holders);
-  // Hash order would leak into anything that renders the snapshot; address
-  // order is the canonical presentation.
+  std::vector<std::pair<Addr, unsigned>> out = directory_.entries();
+  // Slot order is hash order, which would leak into anything that renders
+  // the snapshot; address order is the canonical presentation.
   std::sort(out.begin(), out.end());
   return out;
 }

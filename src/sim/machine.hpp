@@ -28,8 +28,9 @@
 // serial order (see src/par/session.hpp).
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "par/session.hpp"
@@ -74,6 +75,56 @@ class AddressSpace {
  private:
   Addr base_;
   Addr next_;
+};
+
+/// The coherence directory: line address -> bitmask of the coherence
+/// domains holding the line in their outermost cache.  A flat
+/// open-addressing table with linear probing over a power-of-two slot
+/// array.  A tracked line always has at least one holder, so `holders == 0`
+/// marks an empty slot; dropping a line's last holder shifts the rest of
+/// its probe run back into the hole, so there are no tombstones.  The table doubles when it would
+/// pass three-quarters full and keeps its slots across clear(): memory
+/// follows the peak number of live lines, not the outer caches' capacity.
+class CoherenceDirectory {
+ public:
+  CoherenceDirectory() : slots_(std::size_t{1} << kMinSlotsLog2) {}
+
+  /// Holder mask of @p line, or 0 when untracked.
+  [[nodiscard]] std::uint32_t holders(Addr line) const noexcept {
+    return slots_[find(line)].holders;
+  }
+  /// Sets the holder mask of @p line to @p holders (non-zero), inserting
+  /// the line if it is untracked.
+  void set(Addr line, std::uint32_t holders);
+  /// Clears @p bits from @p line's mask, erasing the line when no holder
+  /// remains.  No-op when untracked.
+  void clear_bits(Addr line, std::uint32_t bits) noexcept;
+  /// Forgets every line (the slot array keeps its size).
+  void clear() noexcept;
+
+  /// Every (line, holders) pair, in slot order.
+  [[nodiscard]] std::vector<std::pair<Addr, unsigned>> entries() const;
+
+ private:
+  struct Slot {
+    Addr line = 0;
+    std::uint32_t holders = 0;  ///< 0 = empty slot
+  };
+  static constexpr int kMinSlotsLog2 = 6;
+
+  /// Preferred slot of @p line (Fibonacci hashing: the top bits of the
+  /// product mix every address bit).
+  [[nodiscard]] std::size_t home(Addr line) const noexcept {
+    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// Slot holding @p line, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t find(Addr line) const noexcept;
+  /// Doubles the slot array and re-inserts every line.
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64 - kMinSlotsLog2;  ///< 64 - log2(slots_.size())
 };
 
 /// The simulated SMP, shaped by `MachineParams::resolved_topology()`.
@@ -275,7 +326,7 @@ class Machine {
   std::vector<std::vector<int>> domain_cores_;
   std::vector<int> domain_chip_;
 
-  std::unordered_map<Addr, std::uint32_t> directory_;
+  CoherenceDirectory directory_;
   TraceSink* sink_ = nullptr;
 
   par::Session* par_session_ = nullptr;  ///< active parallel region, or null

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/hooks.hpp"
 #include "sim/machine.hpp"
 
 namespace paxsim::sim {
@@ -228,6 +229,85 @@ TEST(CoreTest, CountersAttributedToBoundProgram) {
   c1.flush_accumulators();
   EXPECT_EQ(r.counters.get(Event::kInstructions), 10u);
   EXPECT_EQ(other.get(Event::kInstructions), 20u);
+}
+
+// Counts the accesses that reach Core::access_memory: the reference path
+// reports every access to an attached sink, the inlined fast path none.
+struct ReferenceAccessCounter final : TraceSink {
+  std::uint64_t accesses = 0;
+  void on_access(const HwContext&, Addr, bool, Dep) override { ++accesses; }
+  void on_fetch(const HwContext&, Addr, std::uint32_t) override {}
+  void on_team(TeamEvent, const void*, const HwContext* const*,
+               std::size_t) override {}
+  void on_runtime_range(Addr, std::size_t) override {}
+  void on_sync(SyncOp, const HwContext&, Addr) override {}
+  void on_thread_moved(const HwContext&, const HwContext&) override {}
+};
+
+TEST(CoreTest, RemoteInvalidateKeepsUnrelatedFastEntries) {
+  MachineParams fast_params;
+  fast_params.fast_path = true;
+  MachineParams ref_params = fast_params;
+  ref_params.fast_path = false;
+  Rig fast(fast_params);
+  Rig ref(ref_params);
+  ReferenceAccessCounter sink;
+  fast.machine.set_trace_sink(&sink);
+  const auto on_both = [&](auto&& op) {
+    op(fast);
+    op(ref);
+  };
+
+  // Both rigs allocate in the same order, so the addresses agree.
+  const Addr a = fast.space.alloc(64, 64);
+  const Addr b = fast.space.alloc(64, 64);
+  ASSERT_EQ(a, ref.space.alloc(64, 64));
+  ASSERT_EQ(b, ref.space.alloc(64, 64));
+
+  // Core 0 registers lines A and B; the repeat loads take the fast path.
+  on_both([&](Rig& r) {
+    r.ctx(0, 0).load(a);
+    r.ctx(0, 0).load(b);
+  });
+  ASSERT_EQ(sink.accesses, 2u);
+  on_both([&](Rig& r) {
+    r.ctx(0, 0).load(a);
+    r.ctx(0, 0).load(b);
+  });
+  ASSERT_EQ(sink.accesses, 2u) << "A and B must be registered";
+
+  // Core 1 stores to A: a remote invalidation of core 0's copy.
+  on_both([&](Rig& r) { r.ctx(0, 1).store(a); });
+  ASSERT_FALSE(fast.machine.core(0, 0).l1d().contains(a));
+  std::string why;
+  EXPECT_TRUE(fast.machine.core(0, 0).audit_fast_entries(&why)) << why;
+
+  // B still commits through its register: no reference-path access, no miss.
+  const std::uint64_t misses = fast.counters.get(Event::kL1dMisses);
+  const std::uint64_t slow = sink.accesses;
+  on_both([&](Rig& r) {
+    r.ctx(0, 0).load(b);
+    r.ctx(0, 0).store(b);
+  });
+  EXPECT_EQ(sink.accesses, slow) << "the invalidation of A evicted B's register";
+  EXPECT_EQ(fast.counters.get(Event::kL1dMisses), misses);
+
+  // A's register is stale: the re-load misses and re-registers, so the
+  // next load of A is back on the fast path.
+  on_both([&](Rig& r) { r.ctx(0, 0).load(a); });
+  EXPECT_EQ(sink.accesses, slow + 1);
+  EXPECT_EQ(fast.counters.get(Event::kL1dMisses), misses + 1);
+  on_both([&](Rig& r) { r.ctx(0, 0).load(a); });
+  EXPECT_EQ(sink.accesses, slow + 1) << "A was not re-registered";
+  EXPECT_TRUE(fast.machine.core(0, 0).audit_fast_entries(&why)) << why;
+
+  for (Rig* r : {&fast, &ref}) {
+    r->ctx(0, 0).flush_accumulators();
+    r->ctx(0, 1).flush_accumulators();
+  }
+  EXPECT_EQ(fast.ctx(0, 0).now(), ref.ctx(0, 0).now());
+  EXPECT_EQ(fast.ctx(0, 1).now(), ref.ctx(0, 1).now());
+  EXPECT_EQ(fast.counters, ref.counters);
 }
 
 }  // namespace

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 namespace paxsim::sim {
 namespace {
 
@@ -147,6 +153,66 @@ TEST(MachineTest, ResetClearsWholeCoherenceDirectory) {
   r.ctx(0, 0).load(lines[0]);
   EXPECT_EQ(r.m.core(0, 0).l2().state_of(lines[0]), LineState::kExclusive);
   EXPECT_EQ(r.m.holders_of(lines[0]), 0b0001u);
+}
+
+TEST(MachineTest, FlatDirectoryMatchesOracleThroughGrowthAndDeletes) {
+  // Enough distinct lines to grow the directory's slot array several times
+  // over, and a heap four times the outer caches' aggregate capacity so
+  // evictions erase entries all the time.  The oracle is rebuilt after
+  // every access from the outer caches' residency, which the directory
+  // must mirror exactly.
+  const MachineParams p = MachineParams{}.scaled(128);
+  Machine m(p);
+  AddressSpace space(0);
+  perf::CounterSet counters;
+  std::vector<HwContext*> ctxs;
+  for (int g = 0; g < p.total_cores(); ++g) {
+    ctxs.push_back(&m.core_by_id(g).context(0));
+  }
+  const std::size_t heap_lines =
+      4 * ctxs.size() * (p.l2.size_bytes / p.l2.line_bytes);
+  const Addr heap = space.alloc(heap_lines * 64, 64);
+  std::mt19937_64 rng(2024);
+
+  const auto oracle = [&m] {
+    std::map<Addr, unsigned> want;
+    for (int d = 0; d < m.domain_count(); ++d) {
+      for (const auto& l : m.domain_outer_cache(d).live_lines()) {
+        want[l.line_addr] |= 1u << d;
+      }
+    }
+    return want;
+  };
+  std::size_t peak = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (HwContext* c : ctxs) c->bind(&counters, space.code_base());
+    for (int step = 0; step < 1500; ++step) {
+      const Addr a = heap + (rng() % heap_lines) * 64;
+      HwContext& c = *ctxs[rng() % ctxs.size()];
+      if ((rng() & 3) == 0) {
+        c.store(a);
+      } else {
+        c.load(a);
+      }
+      const std::map<Addr, unsigned> want = oracle();
+      const auto got = m.directory_snapshot();
+      ASSERT_EQ(got, (std::vector<std::pair<Addr, unsigned>>(want.begin(),
+                                                              want.end())))
+          << "round " << round << ", step " << step;
+      for (const auto& [line, holders] : want) {
+        ASSERT_EQ(m.holders_of(line), holders) << "line " << line;
+      }
+      ASSERT_EQ(m.holders_of(a), want.count(a) != 0 ? want.at(a) : 0u);
+      peak = std::max(peak, got.size());
+    }
+    // The recycled table must behave like a fresh one (reset also unbinds
+    // the contexts).
+    m.reset();
+    ASSERT_TRUE(m.directory_snapshot().empty());
+  }
+  // Over 768 live lines need 2048 slots: five doublings from the initial
+  // 64 at the table's three-quarters limit.
+  EXPECT_GT(peak, 768u) << "too few live lines to force several growths";
 }
 
 TEST(MachineTest, AddressSpacesDisjoint) {
