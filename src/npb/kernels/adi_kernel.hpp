@@ -131,6 +131,8 @@ class AdiKernel final : public Kernel {
   /// Solves (I + sigma*L) x = rhs along one line (Thomas), reflective ends.
   static void thomas(std::vector<double>& x) {
     const std::size_t n = x.size();
+    // Static storage outlives the kernel instance, so it is thread_local:
+    // engine --jobs workers run cells concurrently on separate host threads.
     static thread_local std::vector<double> cp, dp;
     cp.assign(n, 0.0);
     dp.assign(n, 0.0);
@@ -162,9 +164,9 @@ class AdiKernel final : public Kernel {
              std::size_t comp_hi) {
     const std::size_t n = n_;
     const auto ncomp = static_cast<std::uint32_t>(comp_hi - comp_lo);
-    // One scratch set per team rank: bodies run concurrently on host
-    // threads under --par, so shared buffers would race (thomas() keeps
-    // its own temporaries thread_local for the same reason).
+    // One scratch set per team rank: each rank models an OpenMP thread,
+    // and paxlint's shared-scratch check rejects buffers every rank's loop
+    // body writes.
     if (scratch_.size() < static_cast<std::size_t>(team.size())) {
       scratch_.resize(static_cast<std::size_t>(team.size()));
     }

@@ -170,8 +170,10 @@ class FtKernel final : public Kernel {
     Array<double>& src = (pass_index % 2 == 0) ? u_ : w_;
     Array<double>& dst = (pass_index % 2 == 0) ? w_ : u_;
 
-    // One scratch pencil per team rank: loop bodies run concurrently on
-    // host threads under --par, so a single shared buffer would race.
+    // One scratch pencil per team rank: each rank models an OpenMP thread,
+    // and paxlint's shared-scratch check rejects a buffer every rank's loop
+    // body writes.  The buffers are kernel members, so cells that engine
+    // --jobs workers run concurrently never share them.
     if (pencils_.size() < static_cast<std::size_t>(team.size())) {
       pencils_.resize(static_cast<std::size_t>(team.size()));
     }

@@ -64,6 +64,12 @@ TEST(FlagSetTest, OutcomeClassification) {
   EXPECT_NE(error.find("unexpected argument"), std::string::npos);
   EXPECT_EQ(fs.parse_flag("--nope", &error), FlagSet::Outcome::kUnknown);
   EXPECT_NE(error.find("unknown flag '--nope'"), std::string::npos);
+  // A retired spelling is unknown to the run table, not silently accepted.
+  harness::RunOptions run;
+  FlagSet run_fs;
+  register_run_flags(run_fs, &run);
+  EXPECT_EQ(run_fs.parse_flag("--par=4", &error), FlagSet::Outcome::kUnknown);
+  EXPECT_NE(error.find("unknown flag"), std::string::npos);
   // A valued flag given bare tells the user the expected shape.
   int n = 1;
   fs.add_int("count", &n, 1, "N", "needs a value");
@@ -105,8 +111,8 @@ TEST(RunFlagTableTest, RegistersTheSharedSpellings) {
   FlagSet fs;
   register_run_flags(fs, &run);
   for (const char* name :
-       {"class", "trials", "seed", "par", "par-window", "grain", "sched",
-        "chunk", "scale", "machine", "check", "trace", "no-verify"}) {
+       {"class", "trials", "seed", "grain", "sched", "chunk", "scale",
+        "machine", "check", "trace", "no-verify"}) {
     EXPECT_TRUE(fs.has(name)) << name;
   }
 }

@@ -22,7 +22,7 @@
 //   trace-sink-guard  TraceSink hook invocation in a header of src/sim/
 //                     or src/xomp/ — fast-path-inlinable code must never
 //                     consult the sink (bit-identity discipline).
-//   fold-order        per-rank/per-LP shard reduction not in ascending
+//   fold-order        per-rank shard reduction not in ascending
 //                     rank order (descending or reversed accumulation).
 //   suppression       a paxlint suppression without the mandatory
 //                     rationale, or naming an unknown check.
