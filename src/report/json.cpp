@@ -2,10 +2,11 @@
 #include "report/json.hpp"
 
 #include <cassert>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
+
+#include "report/parse.hpp"
 
 namespace paxsim::report {
 
@@ -129,147 +130,9 @@ void Json::finish() {
   os_ << '\n';
 }
 
-// ---------------------------------------------------------------------------
-// validate_json: a tiny recursive-descent parser.  Not a conformance
-// checker — it accepts a superset on numbers — but it rejects every
-// structural mistake an emitter bug could produce (unbalanced scopes,
-// missing commas/colons, bad escapes, trailing garbage).
-// ---------------------------------------------------------------------------
-namespace {
-
-class Validator {
- public:
-  explicit Validator(std::string_view text) : s_(text) {}
-
-  bool run(std::string* error) {
-    const bool ok = skip_ws() && parse_value() && at_end();
-    if (!ok && error != nullptr) {
-      *error = "JSON parse error at offset " + std::to_string(pos_);
-    }
-    return ok;
-  }
-
- private:
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ == s_.size();
-  }
-  [[nodiscard]] char peek() const {
-    return pos_ < s_.size() ? s_[pos_] : '\0';
-  }
-  bool skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-    return true;
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool parse_string() {
-    if (!consume('"')) return false;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= s_.size() ||
-                std::isxdigit(static_cast<unsigned char>(s_[pos_])) == 0) {
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-' || peek() == '+') ++pos_;
-    bool digits = false;
-    const auto digit_run = [&] {
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    digit_run();
-    if (consume('.')) digit_run();
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '-' || peek() == '+') ++pos_;
-      digit_run();
-    }
-    return digits && pos_ > start;
-  }
-
-  bool parse_value() {  // NOLINT(misc-no-recursion)
-    skip_ws();
-    switch (peek()) {
-      case '{': {
-        ++pos_;
-        skip_ws();
-        if (consume('}')) return true;
-        do {
-          skip_ws();
-          if (!parse_string()) return false;
-          skip_ws();
-          if (!consume(':')) return false;
-          if (!parse_value()) return false;
-          skip_ws();
-        } while (consume(','));
-        return consume('}');
-      }
-      case '[': {
-        ++pos_;
-        skip_ws();
-        if (consume(']')) return true;
-        do {
-          if (!parse_value()) return false;
-          skip_ws();
-        } while (consume(','));
-        return consume(']');
-      }
-      case '"':
-        return parse_string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return parse_number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 bool validate_json(std::string_view text, std::string* error) {
-  return Validator(text).run(error);
+  JsonValue discarded;
+  return parse_json_value(text, &discarded, error);
 }
 
 }  // namespace paxsim::report

@@ -85,9 +85,9 @@ class Json {
   bool pending_key_ = false;
 };
 
-/// Structural validator used by the schema tests and the CI smoke: true iff
-/// @p text is exactly one syntactically valid JSON value (numbers are
-/// checked loosely; semantic schema checks are the tests' business).
+/// True iff @p text is exactly one JSON value that parse_json_value
+/// (report/parse.hpp) accepts; the parsed document is discarded.  Used by
+/// the schema tests (semantic schema checks are the tests' business).
 bool validate_json(std::string_view text, std::string* error = nullptr);
 
 }  // namespace paxsim::report

@@ -3,6 +3,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -269,6 +270,12 @@ class Parser {
     out->kind = JsonValue::Kind::kNumber;
     out->raw_number.assign(text_.substr(start, pos_ - start));
     out->number = std::strtod(out->raw_number.c_str(), nullptr);
+    // The writer emits null for non-finite values, so an overflowing token
+    // is never one of ours; reject it rather than hand out an infinity.
+    if (std::isinf(out->number)) {
+      pos_ = start;
+      return fail("number out of range");
+    }
     return true;
   }
 

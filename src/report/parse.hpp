@@ -1,10 +1,18 @@
 // paxsim/report/parse.hpp
 //
 // The one JSON reader: the consumer-side counterpart of report::Json.
-// Everything in the tree that ingests JSON it previously emitted — the
-// result store's entries (src/serve/store), serve job files
-// (src/serve/jobs) — parses through this small document model, so number
-// handling, escapes and error reporting are defined in exactly one place.
+// Everything in the tree that ingests JSON — the result store's entries
+// (src/serve/store), serve job files (src/serve/jobs), topology files
+// (sim::Topology::parse_json) and report::validate_json — parses through
+// this small document model, so number handling, escapes, nesting limits
+// and error reporting are defined in exactly one place.
+//
+// The grammar is strict where it matters for untrusted files: numbers must
+// match -?digits(.digits)?([eE][+-]?digits)? and be finite as doubles
+// (an overflowing token such as 1e999 is an error, not an infinity),
+// nesting deeper than 64 levels is rejected before it can exhaust the
+// stack, and a duplicated object member is kept in order, so find()
+// resolves it first-wins.
 //
 // The model is deliberately minimal: a JsonValue is null, a bool, a number,
 // a string, an array, or an object whose members keep insertion order (the
@@ -48,7 +56,8 @@ class JsonValue {
   }
   [[nodiscard]] bool is_bool() const noexcept { return kind == Kind::kBool; }
 
-  /// Object member lookup; nullptr when absent or not an object.
+  /// Object member lookup; nullptr when absent or not an object.  With
+  /// duplicate names the first occurrence wins.
   [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
 
   /// The exact unsigned 64-bit value of a number token; false when the

@@ -2,13 +2,12 @@
 #include "sim/topology.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "report/json.hpp"
+#include "report/parse.hpp"
 
 namespace paxsim::sim {
 
@@ -220,259 +219,61 @@ std::string Topology::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader for topology files.  The repo's report layer only
-// writes JSON; topology descriptions are the one thing paxsim *reads*, so
-// this stays a private recursive-descent parser scoped to the schema above
-// (objects, arrays, strings, numbers, booleans, null — no surprises).
+// Topology files are read through report::parse_json_value; these helpers
+// map the document model onto the schema above with a reason per field.
 
 namespace {
 
-struct JValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JValue> arr;
-  std::map<std::string, JValue> obj;
-};
+using report::JsonValue;
 
-class JsonReader {
- public:
-  JsonReader(std::string_view text, std::string* error)
-      : text_(text), error_(error) {}
-
-  bool parse(JValue* out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters");
-    return true;
-  }
-
- private:
-  bool fail(const std::string& why) {
-    if (error_ != nullptr) {
-      *error_ = "JSON parse error at offset " + std::to_string(pos_) + ": " +
-                why;
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value(JValue* out) {
-    if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out->kind = JValue::Kind::kString;
-      return string(&out->str);
-    }
-    if (literal("true")) {
-      out->kind = JValue::Kind::kBool;
-      out->b = true;
-      return true;
-    }
-    if (literal("false")) {
-      out->kind = JValue::Kind::kBool;
-      out->b = false;
-      return true;
-    }
-    if (literal("null")) {
-      out->kind = JValue::Kind::kNull;
-      return true;
-    }
-    return number(out);
-  }
-
-  bool number(JValue* out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected a value");
-    try {
-      out->num = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (...) {
-      return fail("malformed number");
-    }
-    out->kind = JValue::Kind::kNumber;
-    return true;
-  }
-
-  bool string(std::string* out) {
-    if (text_[pos_] != '"') return fail("expected '\"'");
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case '"': case '\\': case '/': c = e; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-            // Topology names are ASCII; map non-ASCII escapes to '?'.
-            unsigned cp = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              cp <<= 4;
-              if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u escape");
-            }
-            c = cp < 0x80 ? static_cast<char>(cp) : '?';
-            break;
-          }
-          default: return fail("unknown escape");
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos_ >= text_.size()) return fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool array(JValue* out) {
-    out->kind = JValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JValue v;
-      skip_ws();
-      if (!value(&v)) return false;
-      out->arr.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool object(JValue* out) {
-    out->kind = JValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string k;
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail("expected a member name");
-      }
-      if (!string(&k)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      skip_ws();
-      JValue v;
-      if (!value(&v)) return false;
-      out->obj[std::move(k)] = std::move(v);
-      skip_ws();
-      if (pos_ >= text_.size()) return fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  std::string_view text_;
-  std::string* error_;
-  std::size_t pos_ = 0;
-};
-
-const JValue* member(const JValue& obj, const std::string& key) {
-  const auto it = obj.obj.find(key);
-  return it == obj.obj.end() ? nullptr : &it->second;
-}
-
-bool take_number(const JValue& obj, const std::string& key, double* out,
+bool take_number(const JsonValue& obj, const std::string& key, double* out,
                  std::string* error) {
-  const JValue* v = member(obj, key);
-  if (v == nullptr || v->kind != JValue::Kind::kNumber) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_number()) {
     return fail(error, "missing or non-numeric field '" + key + "'");
   }
-  *out = v->num;
+  *out = v->number;
   return true;
 }
 
-bool take_int(const JValue& obj, const std::string& key, int* out,
-              std::string* error) {
-  double d = 0;
-  if (!take_number(obj, key, &d, error)) return false;
-  if (d != std::floor(d) || d < -2e9 || d > 2e9) {
-    return fail(error, "field '" + key + "' must be an integer");
+/// The one checked number-to-integer step, for members and array entries
+/// alike: @p v must be an integral number in [lo, hi] before the cast (NaN
+/// and infinities fail the range test).
+template <typename T>
+bool checked_integer(const JsonValue* v, const std::string& what, double lo,
+                     double hi, T* out, std::string* error) {
+  if (v == nullptr) return fail(error, "missing " + what);
+  if (!v->is_number() || !(v->number >= lo && v->number <= hi) ||
+      v->number != std::floor(v->number)) {
+    return fail(error, what + " must be an integer in [" +
+                           std::to_string(static_cast<std::int64_t>(lo)) +
+                           "," +
+                           std::to_string(static_cast<std::int64_t>(hi)) +
+                           "]");
   }
-  *out = static_cast<int>(d);
+  *out = static_cast<T>(v->number);
   return true;
 }
 
-bool take_u64(const JValue& obj, const std::string& key, std::uint64_t* out,
+bool take_int(const JsonValue& obj, const std::string& key, int* out,
               std::string* error) {
-  double d = 0;
-  if (!take_number(obj, key, &d, error)) return false;
-  if (d != std::floor(d) || d < 0 || d > 9e15) {
-    return fail(error, "field '" + key + "' must be a non-negative integer");
-  }
-  *out = static_cast<std::uint64_t>(d);
-  return true;
+  return checked_integer(obj.find(key), "field '" + key + "'", -2e9, 2e9, out,
+                         error);
 }
 
-bool take_string(const JValue& obj, const std::string& key, std::string* out,
-                 std::string* error) {
-  const JValue* v = member(obj, key);
-  if (v == nullptr || v->kind != JValue::Kind::kString) {
+bool take_u64(const JsonValue& obj, const std::string& key, std::uint64_t* out,
+              std::string* error) {
+  return checked_integer(obj.find(key), "field '" + key + "'", 0, 9e15, out,
+                         error);
+}
+
+bool take_string(const JsonValue& obj, const std::string& key,
+                 std::string* out, std::string* error) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_string()) {
     return fail(error, "missing or non-string field '" + key + "'");
   }
-  *out = v->str;
+  *out = v->string;
   return true;
 }
 
@@ -488,10 +289,12 @@ bool parse_scope(const std::string& s, SharingScope* out) {
 
 bool Topology::parse_json(std::string_view text, Topology* out,
                           std::string* error) {
-  JValue root;
-  JsonReader reader(text, error);
-  if (!reader.parse(&root)) return false;
-  if (root.kind != JValue::Kind::kObject) {
+  JsonValue root;
+  std::string why;
+  if (!report::parse_json_value(text, &root, &why)) {
+    return fail(error, "JSON parse error: " + why);
+  }
+  if (!root.is_object()) {
     return fail(error, "topology document must be a JSON object");
   }
   int schema = 0;
@@ -528,18 +331,18 @@ bool Topology::parse_json(std::string_view text, Topology* out,
     return false;
   }
   std::uint64_t remote = 0;
-  if (member(root, "remote_node_extra_latency") != nullptr &&
+  if (root.find("remote_node_extra_latency") != nullptr &&
       !take_u64(root, "remote_node_extra_latency", &remote, error)) {
     return false;
   }
   t.remote_node_extra_latency = remote;
 
-  const JValue* levels = member(root, "levels");
-  if (levels == nullptr || levels->kind != JValue::Kind::kArray) {
+  const JsonValue* levels = root.find("levels");
+  if (levels == nullptr || !levels->is_array()) {
     return fail(error, "missing 'levels' array");
   }
-  for (const JValue& lvj : levels->arr) {
-    if (lvj.kind != JValue::Kind::kObject) {
+  for (const JsonValue& lvj : levels->items) {
+    if (!lvj.is_object()) {
       return fail(error, "each level must be an object");
     }
     TopoCacheLevel lv;
@@ -564,12 +367,12 @@ bool Topology::parse_json(std::string_view text, Topology* out,
     t.levels.push_back(std::move(lv));
   }
 
-  const JValue* nodes = member(root, "nodes");
-  if (nodes == nullptr || nodes->kind != JValue::Kind::kArray) {
+  const JsonValue* nodes = root.find("nodes");
+  if (nodes == nullptr || !nodes->is_array()) {
     return fail(error, "missing 'nodes' array");
   }
-  for (const JValue& nj : nodes->arr) {
-    if (nj.kind != JValue::Kind::kObject) {
+  for (const JsonValue& nj : nodes->items) {
+    if (!nj.is_object()) {
       return fail(error, "each node must be an object");
     }
     MemNode node;
@@ -580,16 +383,17 @@ bool Topology::parse_json(std::string_view text, Topology* out,
       return false;
     }
     node.latency = latency;
-    const JValue* homes = member(nj, "home_packages");
-    if (homes == nullptr || homes->kind != JValue::Kind::kArray) {
+    const JsonValue* homes = nj.find("home_packages");
+    if (homes == nullptr || !homes->is_array()) {
       return fail(error, "node missing 'home_packages' array");
     }
     node.home_packages.clear();
-    for (const JValue& hp : homes->arr) {
-      if (hp.kind != JValue::Kind::kNumber || hp.num != std::floor(hp.num)) {
-        return fail(error, "home_packages entries must be integers");
+    for (const JsonValue& hp : homes->items) {
+      int p = 0;
+      if (!checked_integer(&hp, "home_packages entry", -2e9, 2e9, &p, error)) {
+        return false;
       }
-      node.home_packages.push_back(static_cast<int>(hp.num));
+      node.home_packages.push_back(p);
     }
     t.nodes.push_back(std::move(node));
   }

@@ -140,8 +140,11 @@ struct Topology {
 
   // -- JSON (schema_version'd, kind "topology").
   [[nodiscard]] std::string to_json() const;
-  /// Parses and validate()s @p text.  On failure returns false and, when
-  /// @p error is non-null, a one-line reason.
+  /// Parses @p text through report::parse_json_value (strict numbers,
+  /// 64-level depth cap, first-wins duplicate members), range-checks every
+  /// integer field before casting it, and validate()s the result.  On
+  /// failure returns false and, when @p error is non-null, a one-line
+  /// reason.
   static bool parse_json(std::string_view text, Topology* out,
                          std::string* error);
 

@@ -92,7 +92,8 @@ TEST(ValidateJsonTest, AcceptsWellFormedValues) {
 
 TEST(ValidateJsonTest, RejectsMalformedValues) {
   for (const char* bad : {"", "{", "[1,2", "{\"a\":}", "{a:1}", "{} {}",
-                          "[1 2]", "{\"a\" 1}", "\"unterminated"}) {
+                          "[1 2]", "{\"a\" 1}", "\"unterminated", "+1",
+                          "1."}) {
     EXPECT_FALSE(validate_json(bad)) << bad;
   }
 }

@@ -237,5 +237,16 @@ TEST(JobFileTest, RejectsMalformedJson) {
   parse_fail("[1,2,3]");
 }
 
+TEST(JobFileTest, RejectsOverflowingScale) {
+  // 1e999 overflows a double; the reader refuses it instead of handing the
+  // engine an infinite machine scale.
+  const std::string err = parse_fail(
+      R"({"schema_version":1,"kind":"job_file",
+          "defaults":{"scale":1e999},
+          "sweeps":[{"benches":["CG"],"configs":["Serial"],
+                     "modes":["single"]}]})");
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace paxsim::serve

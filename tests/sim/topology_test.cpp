@@ -121,5 +121,70 @@ TEST(TopologyTest, ResolveAcceptsPresetsAndRejectsGarbage) {
   EXPECT_NE(why.find("/nonexistent/machine.json"), std::string::npos) << why;
 }
 
+// ---- hostile topology files --------------------------------------------
+// Topology JSON comes from user files, so every malformed or adversarial
+// document must come back false with a reason: no crash, no silent
+// acceptance of a loose number, no cast of an out-of-range value.
+
+/// The paxville preset's document with the first @p from replaced by @p to.
+std::string paxville_with(const std::string& from, const std::string& to) {
+  std::string text = Topology::paxville().to_json();
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(TopologyJsonTest, RejectsHostileDocumentsWithAReason) {
+  const std::string full = Topology::paxville().to_json();
+  const struct {
+    const char* what;
+    std::string text;
+  } cases[] = {
+      {"200,000-deep nesting", std::string(200000, '[')},
+      {"arithmetic in a number", paxville_with("\"packages\":2", "\"packages\":2-5")},
+      {"leading plus", paxville_with("\"packages\":2", "\"packages\":+2")},
+      {"dangling exponent", paxville_with("\"packages\":2", "\"packages\":+2e")},
+      {"bare decimal point", paxville_with("\"packages\":2", "\"packages\":1.")},
+      {"overflowing number",
+       paxville_with("\"link_read_occupancy\":50.2",
+                     "\"link_read_occupancy\":1e999")},
+      {"truncated document", full.substr(0, full.size() / 2)},
+      {"non-object root", "[1,2,3]"},
+  };
+  for (const auto& c : cases) {
+    Topology t;
+    std::string why;
+    EXPECT_FALSE(Topology::parse_json(c.text, &t, &why)) << c.what;
+    EXPECT_FALSE(why.empty()) << c.what;
+  }
+}
+
+TEST(TopologyJsonTest, DuplicateMembersResolveFirstWins) {
+  // A later "packages":99 would fail validate(); first-wins keeps the 2.
+  Topology t;
+  std::string why;
+  ASSERT_TRUE(Topology::parse_json(
+      paxville_with("\"packages\":2", "\"packages\":2,\"packages\":99"), &t,
+      &why))
+      << why;
+  EXPECT_EQ(t.packages, 2);
+  EXPECT_EQ(t.fingerprint(), Topology::paxville().fingerprint());
+}
+
+TEST(TopologyJsonTest, HomePackagesAreRangeCheckedBeforeTheCast) {
+  for (const char* bad : {"[0,1e300]", "[0,-1e300]", "[0,1.5]", "[0,\"1\"]"}) {
+    Topology t;
+    std::string why;
+    EXPECT_FALSE(Topology::parse_json(
+        paxville_with("\"home_packages\":[0,1]",
+                      std::string("\"home_packages\":") + bad),
+        &t, &why))
+        << bad;
+    EXPECT_NE(why.find("home_packages entry"), std::string::npos)
+        << bad << ": " << why;
+  }
+}
+
 }  // namespace
 }  // namespace paxsim::sim
